@@ -30,8 +30,6 @@ pub struct Config {
     pub trace: bool,
 }
 
-/// How many times each run sets its map up; `setup_s` is the median.
-pub const SETUPS: usize = 3;
 /// Cap on one settle wait after a bulk load.
 pub const SETTLE_DEADLINE: Duration = Duration::from_secs(20);
 /// Cap on the settle wait before a drop.
@@ -154,6 +152,36 @@ pub fn teardown<M: Send + 'static>(map: M, what: &str, out: &mut Outcome) -> f64
             ));
             s
         }
+    }
+}
+
+/// [`teardown`] of a map whose last `flush()` may have missed its deadline.
+/// The stuck flush still holds the map then, so dropping it here would only
+/// drop a reference and time nothing: that drop is noted and left untimed.
+pub fn teardown_flushed<M: Send + 'static>(
+    map: M,
+    flushed: bool,
+    what: &str,
+    out: &mut Outcome,
+) -> Option<f64> {
+    if flushed {
+        Some(teardown(map, what, out))
+    } else {
+        out.notes.push(format!(
+            "a drop of the {what} is not timed: its flush never returned"
+        ));
+        None
+    }
+}
+
+/// `teardown_s` of a run: the median drop, or the longest one when a drop
+/// missed its deadline (so a stalled drop reports at the cap).
+pub fn teardown_seconds(drops: &[f64]) -> f64 {
+    let cap = TEARDOWN_DEADLINE.as_secs_f64();
+    if drops.iter().any(|&s| s >= cap) {
+        drops.iter().copied().fold(cap, f64::max)
+    } else {
+        median(drops)
     }
 }
 
@@ -367,6 +395,65 @@ pub fn phase_deadline(seconds: u64) -> Instant {
     Instant::now() + Duration::from_secs(4 * seconds + 20)
 }
 
+/// What each thread of a timed phase reports besides its samples.
+#[derive(Debug, Default)]
+pub struct Side {
+    /// Its calls.
+    pub run: Drive,
+    /// Operations it attempted (a call may issue several).
+    pub attempted: u64,
+    /// Its first 100 wrong answers.
+    pub wrong: Vec<String>,
+}
+
+impl Side {
+    /// Records a wrong answer (described lazily: most runs have none).
+    pub fn wrong(&mut self, what: impl FnOnce() -> String) {
+        if self.wrong.len() < 100 {
+            self.wrong.push(what());
+        }
+    }
+}
+
+/// Runs one timed phase on two threads named `names`: `a` drives side 0 of
+/// the [`Phase`] and `b` side 1, until both have done their measured work.
+/// A deadline cut is noted, and each side's attempted operations and wrong
+/// answers are folded into `out`.
+pub fn two_threads<A, B>(
+    deadline: Instant,
+    names: [&str; 2],
+    a: impl FnOnce(&Phase) -> A + Send,
+    b: impl FnOnce(&Phase) -> B + Send,
+    out: &mut Outcome,
+) -> (A, B)
+where
+    A: AsMut<Side> + Send,
+    B: AsMut<Side> + Send,
+{
+    let phase = Phase::new(deadline);
+    let (mut a, mut b) = std::thread::scope(|scope| {
+        let spawn = |name: &str| std::thread::Builder::new().name(name.to_string());
+        let a = spawn(names[0])
+            .spawn_scoped(scope, || a(&phase))
+            .expect("spawn phase thread");
+        let b = spawn(names[1])
+            .spawn_scoped(scope, || b(&phase))
+            .expect("spawn phase thread");
+        (a.join().expect(names[0]), b.join().expect(names[1]))
+    });
+    if phase.cut.load(Ordering::Relaxed) {
+        out.notes
+            .push("a phase hit its deadline before its work was done".into());
+    }
+    for side in [a.as_mut(), b.as_mut()] {
+        out.attempted += side.attempted;
+        for w in std::mem::take(&mut side.wrong) {
+            out.fail(w);
+        }
+    }
+    (a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,6 +510,61 @@ mod tests {
         let d = cut.drive(0, 10, 1, |_| {});
         assert_eq!((d.measured, d.calls), (0, 0));
         assert!(cut.is_done(0));
+    }
+
+    #[test]
+    fn teardown_of_an_unflushed_map_is_not_timed() {
+        let mut out = Outcome::default();
+        assert_eq!(
+            teardown_flushed(vec![0u8; 16], false, "vector", &mut out),
+            None
+        );
+        assert_eq!((out.attempted, out.notes.len()), (0, 1));
+        assert!(teardown_flushed(vec![0u8; 16], true, "vector", &mut out).is_some());
+        assert_eq!(out.attempted, 1);
+    }
+
+    #[test]
+    fn teardown_seconds_is_the_median_unless_a_drop_stalled() {
+        assert_eq!(teardown_seconds(&[0.3, 0.1, 0.2]), 0.2);
+        let cap = TEARDOWN_DEADLINE.as_secs_f64();
+        assert_eq!(teardown_seconds(&[0.1, cap + 0.5, 0.2]), cap + 0.5);
+    }
+
+    #[derive(Default)]
+    struct Count(Side);
+
+    impl AsMut<Side> for Count {
+        fn as_mut(&mut self) -> &mut Side {
+            &mut self.0
+        }
+    }
+
+    #[test]
+    fn two_threads_fold_attempts_and_wrong_answers() {
+        let mut out = Outcome::default();
+        let side = |side: usize, wrong: bool| {
+            move |phase: &Phase| {
+                let mut c = Count::default();
+                c.0.run = phase.drive(side, 5, 1, |_| {});
+                c.0.attempted = c.0.run.calls;
+                if wrong {
+                    c.0.wrong(|| "wrong".into());
+                }
+                c
+            }
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let (a, b) = two_threads(
+            deadline,
+            ["t-a", "t-b"],
+            side(0, false),
+            side(1, true),
+            &mut out,
+        );
+        assert!(a.0.run.measured == 5 && b.0.run.measured == 5);
+        assert_eq!(out.attempted, a.0.run.calls + b.0.run.calls);
+        assert_eq!(out.failed, 1);
     }
 
     #[test]

@@ -39,11 +39,13 @@ pub struct ThreadCpu {
 }
 
 /// Reads the CPU time of this process's threads that belong to a group in
-/// [`THREAD_GROUPS`]. A thread's name is read once and remembered, so a
-/// reading costs one `schedstat` read per grouped thread.
+/// [`THREAD_GROUPS`]. A grouped thread's name is read once and remembered,
+/// so a reading costs one `schedstat` read per grouped thread. Other names
+/// are read again each time: a new thread names itself only after it
+/// starts, so an early reading can still show its parent's name.
 #[derive(Debug, Default)]
 pub struct ThreadReader {
-    groups: HashMap<u32, Option<&'static str>>,
+    groups: HashMap<u32, &'static str>,
 }
 
 impl ThreadReader {
@@ -59,13 +61,18 @@ impl ThreadReader {
                 continue;
             };
             let path = entry.path();
-            let group = *self.groups.entry(tid).or_insert_with(|| {
-                fs::read_to_string(path.join("comm"))
-                    .ok()
-                    .and_then(|comm| thread_group(comm.trim_end()))
-            });
-            let Some(group) = group else {
-                continue;
+            let group = match self.groups.get(&tid) {
+                Some(&group) => group,
+                None => {
+                    let Some(group) = fs::read_to_string(path.join("comm"))
+                        .ok()
+                        .and_then(|comm| thread_group(comm.trim_end()))
+                    else {
+                        continue;
+                    };
+                    self.groups.insert(tid, group);
+                    group
+                }
             };
             if let Some(cpu_ns) = fs::read_to_string(path.join("schedstat"))
                 .ok()

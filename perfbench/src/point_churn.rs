@@ -7,7 +7,6 @@
 //! client models its own keys exactly, so after a flush the whole map is
 //! checked against the model.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pma_common::obs::clock::raw_now;
@@ -16,19 +15,22 @@ use pma_workloads::{Distribution, KeyGenerator};
 
 use crate::extras;
 use crate::harness::{
-    build_u64, counters, elapsed_ns, flush, phase_deadline, setup_seconds, teardown, Config, Drive,
-    Phase, Sampler, SETUPS,
+    build_u64, counters, elapsed_ns, flush, phase_deadline, setup_seconds, teardown,
+    teardown_flushed, teardown_seconds, two_threads, Config, Phase, Sampler, Side,
 };
 use crate::layers::{self, Values};
 use crate::ledger::rss_bytes;
 use crate::model::{churn_key, loaded_items, ChurnModel, Fold, Rng};
 use crate::report::Outcome;
-use crate::stats::{mean, Samples};
+use crate::stats::Samples;
 
 /// Keys bulk-loaded (≈21 MB resident, within L3).
 pub const KEYS: usize = 1_000_000;
 /// The engine under test.
 pub const SPEC: &str = "sharded:8:pma-batch:100";
+/// Times a run sets its map up; only the first churned map is checked.
+const SETUPS: usize = 3;
+/// Clients, one per side of the [`Phase`].
 const CLIENTS: u64 = 2;
 const ZIPF_ALPHA: f64 = 1.5;
 /// Ops per client per nominal second of the timed phase.
@@ -42,9 +44,14 @@ const QUIET_GETS: u64 = 200_000;
 struct ClientOut {
     gets: Samples,
     writes: Samples,
-    run: Drive,
-    wrong: Vec<String>,
     model: ChurnModel,
+    side: Side,
+}
+
+impl AsMut<Side> for ClientOut {
+    fn as_mut(&mut self) -> &mut Side {
+        &mut self.side
+    }
 }
 
 fn client(
@@ -68,7 +75,7 @@ fn client(
     );
     let mut rng = Rng::new(seed, 10 + t);
     let mut op = 0u64;
-    out.run = phase.drive(t as usize, quota, 256, |measured| {
+    out.side.run = phase.drive(t as usize, quota, 256, |measured| {
         op += 1;
         let key = churn_key(t, CLIENTS, ranks.next_key() as u64);
         let r = rng.below(10);
@@ -80,10 +87,10 @@ fn client(
                 out.gets.push(dt);
             }
             if let Some(want) = out.model.expected_untouched(key) {
-                if got != want && out.wrong.len() < 100 {
-                    out.wrong.push(format!(
-                        "get({key}) returned {got:?}, never mutated, loaded {want:?}"
-                    ));
+                if got != want {
+                    out.side.wrong(|| {
+                        format!("get({key}) returned {got:?}, never mutated, loaded {want:?}")
+                    });
                 }
             }
         } else {
@@ -104,54 +111,34 @@ fn client(
             }
         }
     });
+    out.side.attempted = out.side.run.calls;
     out
 }
 
-/// Runs both clients until both quotas are met. Wrong answers and calls made
-/// are folded into `out`.
+/// Runs both clients until both quotas are met; `models` holds each
+/// client's model, carried over from the previous phase.
 fn phase(
     map: &dyn ConcurrentMap,
     seconds: u64,
     seed: u64,
     quota: u64,
-    models: Vec<ChurnModel>,
+    models: [ChurnModel; CLIENTS as usize],
     out: &mut Outcome,
-) -> Vec<ClientOut> {
-    let phase = Phase::new(phase_deadline(seconds));
-    let mut outs: Vec<ClientOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = models
-            .into_iter()
-            .enumerate()
-            .map(|(t, model)| {
-                let phase = &phase;
-                std::thread::Builder::new()
-                    .name(format!("bench-client-{t}"))
-                    .spawn_scoped(s, move || client(map, phase, t as u64, seed, quota, model))
-                    .expect("spawn client")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
-    if phase.cut.load(Ordering::Relaxed) {
-        out.notes
-            .push("a phase hit its deadline before its work was done".into());
-    }
-    for c in &mut outs {
-        out.attempted += c.run.calls;
-        for msg in std::mem::take(&mut c.wrong) {
-            out.fail(msg);
-        }
-    }
-    outs
+) -> [ClientOut; CLIENTS as usize] {
+    let [m0, m1] = models;
+    let (c0, c1) = two_threads(
+        phase_deadline(seconds),
+        ["bench-client-0", "bench-client-1"],
+        |phase| client(map, phase, 0, seed, quota, m0),
+        |phase| client(map, phase, 1, seed, quota, m1),
+        out,
+    );
+    [c0, c1]
 }
 
-fn fresh_models() -> Vec<ChurnModel> {
-    (0..CLIENTS).map(|_| ChurnModel::default()).collect()
+fn fresh_models() -> [ChurnModel; CLIENTS as usize] {
+    Default::default()
 }
-
 pub fn run(cfg: &Config) -> Outcome {
     let mut out = Outcome::default();
     let mut values = Values::new();
@@ -173,7 +160,7 @@ pub fn run(cfg: &Config) -> Outcome {
         fresh_models(),
         &mut out,
     );
-    let models = warm.into_iter().map(|c| c.model).collect();
+    let models = warm.map(|c| c.model);
 
     let before = counters(&*map);
     let sampler = cfg.trace.then(|| {
@@ -189,7 +176,7 @@ pub fn run(cfg: &Config) -> Outcome {
     let mut mops = 0.0;
     let mut model = Fold::loaded(KEYS as u64);
     for c in &timed {
-        mops += c.run.mops();
+        mops += c.side.run.mops();
         gets.extend(&c.gets);
         writes.extend(&c.writes);
         c.model.apply_to(&mut model);
@@ -251,15 +238,10 @@ pub fn run(cfg: &Config) -> Outcome {
     if let Some(sampled) = &sampled {
         layers::u64_values(&mut values, &before, &after, sampled);
     }
-    let mut teardowns = Vec::new();
-    if flushed {
-        teardowns.push(teardown(map, SPEC, &mut out));
-    } else {
-        // The stuck flush still holds the map, so a drop here would time
-        // nothing; the further setups' drops show the stall instead.
-        out.notes
-            .push("the churned map's drop is not timed: its flush never returned".into());
-    }
+    // When the flush is stuck, the further setups' drops show the stall.
+    let mut teardowns: Vec<f64> = teardown_flushed(map, flushed, SPEC, &mut out)
+        .into_iter()
+        .collect();
 
     for i in 1..SETUPS {
         let Some((map, settled)) = build_u64(&items, SPEC, &mut out) else {
@@ -293,7 +275,12 @@ pub fn run(cfg: &Config) -> Outcome {
     let setup_s = setup_seconds(&setups, &mut out);
     out.e2e("setup_s", setup_s, "s", Some(setups.len()));
     out.e2e("rss_bytes_per_key", rss_per_key, "B/key", None);
-    out.e2e("teardown_s", mean(&teardowns), "s", Some(teardowns.len()));
+    out.e2e(
+        "teardown_s",
+        teardown_seconds(&teardowns),
+        "s",
+        Some(teardowns.len()),
+    );
 
     if cfg.trace {
         values.insert(

@@ -16,23 +16,27 @@ use pma_common::{ConcurrentMap, Key, Value};
 
 use crate::extras;
 use crate::harness::{
-    build_u64, counters, elapsed_ns, flush, phase_deadline, setup_seconds, teardown, Config, Drive,
-    Phase, Sampler, SETUPS,
+    build_u64, counters, elapsed_ns, flush, phase_deadline, setup_seconds, teardown,
+    teardown_flushed, teardown_seconds, two_threads, Config, Phase, Sampler, Side,
 };
 use crate::layers::{self, Values};
 use crate::ledger::rss_bytes;
 use crate::model::{loaded_items, Fold, FreshKeys, Rng};
 use crate::report::Outcome;
-use crate::stats::{mean, Samples};
+use crate::stats::Samples;
 
 /// Keys bulk-loaded (≈1 GB resident once settled).
 pub const KEYS: usize = 16_000_000;
 /// The engine under test: the registry's default sharded configuration.
 pub const SPEC: &str = "sharded:8:pma-batch:100";
-/// Client ops per nominal second of the timed phase.
+/// Client ops per nominal second of the timed phases.
 const CLIENT_OPS_PER_SECOND: u64 = 300_000;
-/// Full scans in each setup's timed phase (at least 100 in all, for a p90).
-const SCANS_PER_SETUP: u64 = 34;
+/// Maps a run loads, works and drops. Each load and settling takes about six
+/// seconds; a fourth life with a shorter warm-up made `point_mops` spread
+/// more from run to run without steadying `teardown_s`.
+const LIVES: u64 = 3;
+/// Full scans in each life's timed phase (at least 100 in all, for a p90).
+const SCANS_PER_LIFE: u64 = 34;
 /// Full scans of a warm-up.
 const WARM_UP_SCANS: u64 = 10;
 /// Range scans after each full scan, and loaded keys each one spans.
@@ -55,9 +59,8 @@ struct Shared<'a> {
 struct ClientOut {
     gets: Samples,
     writes: Samples,
-    run: Drive,
-    wrong: Vec<String>,
     inserts: Vec<(Key, Value)>,
+    side: Side,
 }
 
 #[derive(Default)]
@@ -65,8 +68,19 @@ struct ScannerOut {
     scans: Samples,
     ranges: Samples,
     elems: u64,
-    run: Drive,
-    wrong: Vec<String>,
+    side: Side,
+}
+
+impl AsMut<Side> for ClientOut {
+    fn as_mut(&mut self) -> &mut Side {
+        &mut self.side
+    }
+}
+
+impl AsMut<Side> for ScannerOut {
+    fn as_mut(&mut self) -> &mut Side {
+        &mut self.side
+    }
 }
 
 fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ClientOut {
@@ -76,7 +90,7 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ClientOut {
         ..ClientOut::default()
     };
     let mut rng = Rng::new(seed, 1);
-    out.run = phase.drive(0, quota, 256, |measured| {
+    out.side.run = phase.drive(0, quota, 256, |measured| {
         if rng.next_u64() & 1 == 0 {
             let k = rng.below(KEYS as u64) as Key;
             let t = raw_now();
@@ -85,9 +99,9 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ClientOut {
             if measured {
                 out.gets.push(dt);
             }
-            if got != Some(k) && out.wrong.len() < 100 {
-                out.wrong
-                    .push(format!("get({}) returned {got:?}, loaded {k}", 4 * k));
+            if got != Some(k) {
+                out.side
+                    .wrong(|| format!("get({}) returned {got:?}, loaded {k}", 4 * k));
             }
         } else {
             let n = sh.inserted.fetch_add(1, Ordering::AcqRel);
@@ -101,6 +115,7 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ClientOut {
             out.inserts.push((key, value));
         }
     });
+    out.side.attempted = out.side.run.calls;
     out
 }
 
@@ -120,16 +135,18 @@ fn random_range(rng: &mut Rng) -> (Key, Key) {
 fn scanner(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ScannerOut {
     let mut out = ScannerOut::default();
     let mut rng = Rng::new(seed, 2);
-    out.run = phase.drive(1, quota, 1, |measured| {
+    out.side.run = phase.drive(1, quota, 1, |measured| {
         let t = raw_now();
         let stats = sh.map.scan_all();
         let dt = elapsed_ns(t, raw_now());
         let hi = KEYS as u64 + sh.inserted.load(Ordering::Acquire);
-        if (stats.count < KEYS as u64 || stats.count > hi) && out.wrong.len() < 100 {
-            out.wrong.push(format!(
-                "full scan visited {} keys, outside [{KEYS}, {hi}]",
-                stats.count
-            ));
+        if stats.count < KEYS as u64 || stats.count > hi {
+            out.side.wrong(|| {
+                format!(
+                    "full scan visited {} keys, outside [{KEYS}, {hi}]",
+                    stats.count
+                )
+            });
         }
         if measured {
             out.scans.push(dt);
@@ -142,21 +159,21 @@ fn scanner(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ScannerOut {
             let dt = elapsed_ns(t, raw_now());
             let min = loaded_in(lo, hi);
             let max = min + sh.inserted.load(Ordering::Acquire);
-            if (got < min || got > max) && out.wrong.len() < 100 {
-                out.wrong.push(format!(
-                    "range [{lo}, {hi}] visited {got} keys, outside [{min}, {max}]"
-                ));
+            if got < min || got > max {
+                out.side.wrong(|| {
+                    format!("range [{lo}, {hi}] visited {got} keys, outside [{min}, {max}]")
+                });
             }
             if measured {
                 out.ranges.push(dt);
             }
         }
     });
+    out.side.attempted = out.side.run.calls * (1 + RANGES_PER_SCAN);
     out
 }
 
 /// Runs the client and the scanner side by side until both quotas are met.
-/// Wrong answers and calls made are folded into `out`.
 fn phase(
     sh: &Shared,
     seconds: u64,
@@ -165,30 +182,13 @@ fn phase(
     scan_quota: u64,
     out: &mut Outcome,
 ) -> (ClientOut, ScannerOut) {
-    let phase = Phase::new(phase_deadline(seconds));
-    let (mut c, mut s) = std::thread::scope(|scope| {
-        let c = std::thread::Builder::new()
-            .name("bench-client-0".into())
-            .spawn_scoped(scope, || client(sh, &phase, seed, client_quota))
-            .expect("spawn client");
-        let s = std::thread::Builder::new()
-            .name("bench-scanner".into())
-            .spawn_scoped(scope, || scanner(sh, &phase, seed, scan_quota))
-            .expect("spawn scanner");
-        (c.join().expect("client"), s.join().expect("scanner"))
-    });
-    if phase.cut.load(Ordering::Relaxed) {
-        out.notes
-            .push("a phase hit its deadline before its work was done".into());
-    }
-    out.attempted += c.run.calls + s.run.calls * (1 + RANGES_PER_SCAN);
-    for w in std::mem::take(&mut c.wrong)
-        .into_iter()
-        .chain(std::mem::take(&mut s.wrong))
-    {
-        out.fail(w);
-    }
-    (c, s)
+    two_threads(
+        phase_deadline(seconds),
+        ["bench-client-0", "bench-scanner"],
+        |phase| client(sh, phase, seed, client_quota),
+        |phase| scanner(sh, phase, seed, scan_quota),
+        out,
+    )
 }
 
 /// What the timed phases of a run measured, over all of its setups.
@@ -204,14 +204,21 @@ struct Measured {
 }
 
 /// After a flush, `len()` and a full scan must equal the model, and 2,000
-/// range scans must each find exactly the model's keys.
-fn check(map: &Arc<dyn ConcurrentMap>, inserts: &[(Key, Value)], seed: u64, out: &mut Outcome) {
+/// range scans must each find exactly the model's keys. Returns whether the
+/// flush returned.
+fn check(
+    map: &Arc<dyn ConcurrentMap>,
+    inserts: &[(Key, Value)],
+    seed: u64,
+    out: &mut Outcome,
+) -> bool {
     let mut model = Fold::loaded(KEYS as u64);
     for &(k, v) in inserts {
         model.add(k, v);
     }
     let m = Arc::clone(map);
-    if flush(move || m.flush(), out) {
+    let flushed = flush(move || m.flush(), out);
+    if flushed {
         out.attempted += 2;
         let len = map.len() as u64;
         if len != model.count {
@@ -247,10 +254,11 @@ fn check(map: &Arc<dyn ConcurrentMap>, inserts: &[(Key, Value)], seed: u64, out:
     if late != 0 {
         out.fail_run(format!("late_replays = {late}"));
     }
+    flushed
 }
 
-/// Each of the run's setups is one life: load and settle, warm up, a third
-/// of the timed work, the exact checks, and the drop. Spreading the timed
+/// Each of the run's [`LIVES`] is: load and settle, warm up, a share of the
+/// timed work, the exact checks, and the drop. Spreading the timed
 /// work over the whole run makes it sample more of the host's slow and fast
 /// spells than one contiguous phase would.
 pub fn run(cfg: &Config) -> Outcome {
@@ -258,11 +266,11 @@ pub fn run(cfg: &Config) -> Outcome {
     let mut values = Values::new();
     let mut m = Measured::default();
     let items = loaded_items(KEYS);
-    let client_quota = CLIENT_OPS_PER_SECOND * cfg.seconds / SETUPS as u64;
+    let client_quota = CLIENT_OPS_PER_SECOND * cfg.seconds / LIVES;
     let warm_up_quota = CLIENT_OPS_PER_SECOND * cfg.seconds / 5;
     let (mut setups, mut teardowns) = (Vec::new(), Vec::new());
     let mut rss_per_key = 0.0;
-    for life in 0..SETUPS as u64 {
+    for life in 0..LIVES {
         let rss0 = rss_bytes();
         let Some((map, settled)) = build_u64(&items, SPEC, &mut out) else {
             break;
@@ -324,7 +332,7 @@ pub fn run(cfg: &Config) -> Outcome {
             cfg.seconds,
             seed,
             client_quota,
-            SCANS_PER_SETUP,
+            SCANS_PER_LIFE,
             &mut out,
         );
         if let Some(sampled) = sampler.map(Sampler::stop) {
@@ -336,12 +344,17 @@ pub fn run(cfg: &Config) -> Outcome {
         m.writes.extend(&c.writes);
         m.scans.extend(&s.scans);
         m.ranges.extend(&s.ranges);
-        m.client_ops += c.run.measured;
-        m.client_ns += c.run.measured_ns;
+        m.client_ops += c.side.run.measured;
+        m.client_ns += c.side.run.measured_ns;
         m.scan_elems += s.elems;
         inserts.append(&mut c.inserts);
-        check(&map, &inserts, seed, &mut out);
-        teardowns.push(teardown(map, SPEC, &mut out));
+        let flushed = check(&map, &inserts, seed, &mut out);
+        teardowns.extend(teardown_flushed(map, flushed, SPEC, &mut out));
+        if !flushed {
+            // The stuck flush keeps loading the machine; later lives would
+            // measure it, not the workload.
+            break;
+        }
     }
 
     out.e2e(
@@ -363,7 +376,12 @@ pub fn run(cfg: &Config) -> Outcome {
     let setup_s = setup_seconds(&setups, &mut out);
     out.e2e("setup_s", setup_s, "s", Some(setups.len()));
     out.e2e("rss_bytes_per_key", rss_per_key, "B/key", None);
-    out.e2e("teardown_s", mean(&teardowns), "s", Some(teardowns.len()));
+    out.e2e(
+        "teardown_s",
+        teardown_seconds(&teardowns),
+        "s",
+        Some(teardowns.len()),
+    );
 
     if cfg.trace {
         extras::router_replay(cfg.seed, &mut values, &mut out);

@@ -85,11 +85,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Mean of a small set of values; `NaN` when empty.
-pub fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,11 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn median_and_mean_of_small_sets() {
+    fn median_of_small_sets() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert!(median(&[]).is_nan());
-        assert_eq!(mean(&[1.0, 2.0, 6.0]), 3.0);
-        assert!(mean(&[]).is_nan());
     }
 }

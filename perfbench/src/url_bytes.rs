@@ -1,14 +1,13 @@
 //! `url-bytes`: the byte-key stack under point churn and prefix scans.
 //!
 //! 2M `UrlCorpus` keys are bulk-loaded into `bsharded:4:bpma:128`. In the
-//! timed phase one client runs a fixed number of ops — half gets of corpus
+//! timed phases one client runs a fixed number of ops — half gets of corpus
 //! keys, a quarter inserts and a quarter removes of churn keys (twins of
 //! corpus keys, see [`TwinPool`]) — while a scanner runs a fixed number of
 //! prefix scans over host + stem + first-digit prefixes, each matching
-//! about 10³–10⁴ keys. After a flush, quiet full scans check the exact final
-//! state and time the byte stack's full ordered scan.
+//! about 10³–10⁴ keys. After each timed phase, a flush and quiet full scans
+//! check the exact state and time the byte stack's full ordered scan.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -19,14 +18,14 @@ use pma_common::{ConcurrentByteMap, Value};
 use pma_workloads::{factory, UrlCorpus};
 
 use crate::harness::{
-    elapsed_ns, flush, phase_deadline, settle, setup_seconds, teardown, Config, Drive, Phase,
-    Sampler, SETTLE_DEADLINE, SETUPS,
+    elapsed_ns, flush, phase_deadline, settle, setup_seconds, teardown_flushed, teardown_seconds,
+    two_threads, Config, Phase, Sampler, Side, SETTLE_DEADLINE,
 };
 use crate::layers::{self, Values};
 use crate::ledger::rss_bytes;
 use crate::model::{prefix_span, Rng, TwinPool, TWIN_SUFFIX};
 use crate::report::Outcome;
-use crate::stats::{mean, Samples};
+use crate::stats::Samples;
 
 /// Corpus keys bulk-loaded.
 pub const KEYS: usize = 2_000_000;
@@ -34,17 +33,19 @@ pub const KEYS: usize = 2_000_000;
 pub const SPEC: &str = "bsharded:4:bpma:128";
 /// Churn keys (twins) the client inserts and removes.
 const TWINS: usize = 65_536;
-/// Client ops per nominal second of the timed phase.
+/// Client ops per nominal second of the timed phases.
 const CLIENT_OPS_PER_SECOND: u64 = 100_000;
-/// Prefix scans per nominal second of the timed phase (at least 1,000 in
+/// Prefix scans per nominal second of the timed phases (at least 1,000 in
 /// all, for a p99).
 const PREFIX_SCANS_PER_SECOND: u64 = 8_000;
-/// Setups beyond the workload's [`SETUPS`] lives that only feed `setup_s`
-/// and `teardown_s`.
-const BARE_SETUPS: usize = 10;
-/// Quiet full scans after each setup's churn (at least 100 in all, for a
+/// Maps a run loads, churns and drops, and timed phases on each of them.
+/// Its load takes under a second and its drop milliseconds, so `setup_s`
+/// and `teardown_s` need many of each.
+const LIVES: u64 = 10;
+const ROUNDS_PER_LIFE: u64 = 2;
+/// Quiet full scans after each timed phase (at least 100 in all, for a
 /// p90).
-const AUDIT_SCANS_PER_SETUP: usize = 50;
+const AUDIT_SCANS_PER_ROUND: usize = 5;
 
 /// A prefix and the most and least keys a scan of it may find.
 struct Prefix {
@@ -90,15 +91,25 @@ struct Shared<'a> {
 struct ClientOut {
     gets: Samples,
     writes: Samples,
-    run: Drive,
-    wrong: Vec<String>,
+    side: Side,
 }
 
 #[derive(Default)]
 struct ScannerOut {
     scans: Samples,
-    run: Drive,
-    wrong: Vec<String>,
+    side: Side,
+}
+
+impl AsMut<Side> for ClientOut {
+    fn as_mut(&mut self) -> &mut Side {
+        &mut self.side
+    }
+}
+
+impl AsMut<Side> for ScannerOut {
+    fn as_mut(&mut self) -> &mut Side {
+        &mut self.side
+    }
 }
 
 fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64, op_base: u64) -> ClientOut {
@@ -111,7 +122,7 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64, op_base: u64) -> Cl
     let mut rng = Rng::new(seed, 1);
     let mut key = Vec::with_capacity(128);
     let mut op = op_base;
-    out.run = phase.drive(0, quota, 256, |measured| {
+    out.side.run = phase.drive(0, quota, 256, |measured| {
         op += 1;
         let r = rng.below(4);
         if r < 2 {
@@ -122,11 +133,13 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64, op_base: u64) -> Cl
             if measured {
                 out.gets.push(dt);
             }
-            if got != Some(*v) && out.wrong.len() < 100 {
-                out.wrong.push(format!(
-                    "get({}) returned {got:?}, loaded {v}",
-                    String::from_utf8_lossy(k)
-                ));
+            if got != Some(*v) {
+                out.side.wrong(|| {
+                    format!(
+                        "get({}) returned {got:?}, loaded {v}",
+                        String::from_utf8_lossy(k)
+                    )
+                });
             }
         } else {
             let j = rng.below(twins.len() as u64) as usize;
@@ -150,6 +163,7 @@ fn client(sh: &Shared, phase: &Phase, seed: u64, quota: u64, op_base: u64) -> Cl
             }
         }
     });
+    out.side.attempted = out.side.run.calls;
     out
 }
 
@@ -157,7 +171,7 @@ fn scanner(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ScannerOut {
     let mut out = ScannerOut::default();
     let mut rng = Rng::new(seed, 2);
     let mut prev: Vec<u8> = Vec::with_capacity(128);
-    out.run = phase.drive(1, quota, 16, |measured| {
+    out.side.run = phase.drive(1, quota, 16, |measured| {
         let p = &sh.prefixes[rng.below(sh.prefixes.len() as u64) as usize];
         let (mut count, mut unsorted, mut foreign) = (0u64, 0u64, 0u64);
         let t = raw_now();
@@ -173,65 +187,51 @@ fn scanner(sh: &Shared, phase: &Phase, seed: u64, quota: u64) -> ScannerOut {
             count += 1;
         });
         let dt = elapsed_ns(t, raw_now());
-        if (unsorted > 0 || foreign > 0 || count < p.min || count > p.max) && out.wrong.len() < 100 {
-            out.wrong.push(format!(
-                "prefix scan of {}: {count} keys (expected {}..={}), {unsorted} out of order, {foreign} without the prefix",
-                String::from_utf8_lossy(&p.bytes),
-                p.min,
-                p.max
-            ));
+        if unsorted > 0 || foreign > 0 || count < p.min || count > p.max {
+            out.side.wrong(|| {
+                format!(
+                    "prefix scan of {}: {count} keys (expected {}..={}), {unsorted} out of order, {foreign} without the prefix",
+                    String::from_utf8_lossy(&p.bytes),
+                    p.min,
+                    p.max
+                )
+            });
         }
         if measured {
             out.scans.push(dt);
         }
     });
+    out.side.attempted = out.side.run.calls;
     out
 }
 
-/// Runs the client and the scanner side by side until both quotas are met.
-/// Wrong answers and calls made are folded into `out`.
+/// Runs the client and the scanner side by side until both quotas are met
+/// or `deadline` passes.
 fn phase(
     sh: &Shared,
-    seconds: u64,
+    deadline: Instant,
     seed: u64,
-    client_quota: u64,
-    scan_quota: u64,
+    quotas: (u64, u64),
     op_base: u64,
     out: &mut Outcome,
 ) -> (ClientOut, ScannerOut) {
-    let phase = Phase::new(phase_deadline(seconds));
-    let (mut c, mut s) = std::thread::scope(|scope| {
-        let c = std::thread::Builder::new()
-            .name("bench-client-0".into())
-            .spawn_scoped(scope, || client(sh, &phase, seed, client_quota, op_base))
-            .expect("spawn client");
-        let s = std::thread::Builder::new()
-            .name("bench-scanner".into())
-            .spawn_scoped(scope, || scanner(sh, &phase, seed, scan_quota))
-            .expect("spawn scanner");
-        (c.join().expect("client"), s.join().expect("scanner"))
-    });
-    if phase.cut.load(Ordering::Relaxed) {
-        out.notes
-            .push("a phase hit its deadline before its work was done".into());
-    }
-    out.attempted += c.run.calls + s.run.calls;
-    for w in std::mem::take(&mut c.wrong)
-        .into_iter()
-        .chain(std::mem::take(&mut s.wrong))
-    {
-        out.fail(w);
-    }
-    (c, s)
+    two_threads(
+        deadline,
+        ["bench-client-0", "bench-scanner"],
+        |phase| client(sh, phase, seed, quotas.0, op_base),
+        |phase| scanner(sh, phase, seed, quotas.1),
+        out,
+    )
 }
 
 /// After a flush, `len()` and every quiet full scan must equal the model
 /// (the first mismatch fails the run). The scans are timed into `scans`.
-fn audit(sh: &Shared, n: usize, scans: &mut Samples, elems: &mut u64, out: &mut Outcome) {
+/// Returns whether the flush returned.
+fn audit(sh: &Shared, n: usize, scans: &mut Samples, elems: &mut u64, out: &mut Outcome) -> bool {
     let model: ByteScanStats = sh.twins.lock().unwrap().expected_scan(sh.corpus);
     let m = Arc::clone(sh.map);
     if !flush(move || m.flush(), out) {
-        return;
+        return false;
     }
     out.attempted += 1;
     let len = sh.map.len() as u64;
@@ -251,9 +251,10 @@ fn audit(sh: &Shared, n: usize, scans: &mut Samples, elems: &mut u64, out: &mut 
             out.fail_run(format!(
                 "full scan after flush gave {full:?}, model {model:?}"
             ));
-            return;
+            break;
         }
     }
+    true
 }
 
 fn build(
@@ -273,24 +274,46 @@ fn build(
     }
 }
 
-/// Each of the run's setups is one life: load and settle, warm up, a third
-/// of the timed work, the audit, and the drop. Spreading the timed work over
-/// the whole run makes it sample more of the host's slow and fast spells
-/// than one contiguous phase would.
+/// What the timed phases of a run measured, over all of its lives.
+#[derive(Default)]
+struct Measured {
+    gets: Samples,
+    writes: Samples,
+    ranges: Samples,
+    scans: Samples,
+    client_ops: u64,
+    client_ns: u64,
+    scan_elems: u64,
+}
+
+/// A run is [`LIVES`] lives. A life loads and settles a map, warms it up
+/// with the workload's own mix, then runs [`ROUNDS_PER_LIFE`] rounds of a
+/// timed phase followed by a flush and the quiet audit scans, and drops the
+/// map. Cutting the fixed work into many short rounds spread over the whole
+/// run lets every metric sample the host's slow and fast spells alike.
 pub fn run(cfg: &Config) -> Outcome {
     let mut out = Outcome::default();
     let mut values = Values::new();
+    let mut m = Measured::default();
     let corpus = UrlCorpus::new(cfg.seed).sorted_corpus(KEYS);
     let prefixes = prefixes(&corpus, &TwinPool::new(corpus.len(), TWINS));
-    let client_quota = CLIENT_OPS_PER_SECOND * cfg.seconds / SETUPS as u64;
-    let scan_quota = (PREFIX_SCANS_PER_SECOND * cfg.seconds).max(1_000) / SETUPS as u64;
-    let (mut gets, mut writes, mut ranges, mut scans) = Default::default();
-    let (mut client_ops, mut client_ns, mut scan_elems) = (0u64, 0u64, 0u64);
+    let rounds = LIVES * ROUNDS_PER_LIFE;
+    let quotas = (
+        CLIENT_OPS_PER_SECOND * cfg.seconds / rounds,
+        (PREFIX_SCANS_PER_SECOND * cfg.seconds).max(1_000) / rounds,
+    );
+    let warm_up = (
+        quotas.0 * ROUNDS_PER_LIFE / 2,
+        quotas.1 * ROUNDS_PER_LIFE / 2,
+    );
+    // One deadline for all of the run's phases, so a stalled program still
+    // lets the run end in time.
+    let deadline = phase_deadline(cfg.seconds);
     let (mut setups, mut teardowns) = (Vec::new(), Vec::new());
     let mut rss_per_key = 0.0;
     let mut stall_ns = 0u64;
     let mut sampled = Vec::new();
-    for life in 0..SETUPS as u64 {
+    for life in 0..LIVES {
         let rss0 = rss_bytes();
         let Some((map, settled)) = build(&corpus, &mut out) else {
             break;
@@ -303,7 +326,6 @@ pub fn run(cfg: &Config) -> Outcome {
                 map.memory_stats().map_or(0.0, |m| m.bytes_per_key()),
             );
         }
-        let seed = cfg.seed ^ (life << 32);
         let sh = Shared {
             map: &map,
             corpus: &corpus,
@@ -311,78 +333,77 @@ pub fn run(cfg: &Config) -> Outcome {
             twins: Mutex::new(TwinPool::new(corpus.len(), TWINS)),
         };
         // Warm-up: the same mix, unmeasured.
-        let (warm, _) = phase(
-            &sh,
-            cfg.seconds,
-            seed ^ 0xA5A5,
-            client_quota / 2,
-            scan_quota / 2,
-            0,
-            &mut out,
-        );
-
-        let stall_before = map.maintenance_stats().map_or(0, |m| m.stall_ns);
-        let sampler = cfg.trace.then(|| Sampler::start(None));
-        let (c, s) = phase(
-            &sh,
-            cfg.seconds,
-            seed,
-            client_quota,
-            scan_quota,
-            warm.run.calls,
-            &mut out,
-        );
-        sampled.extend(sampler.map(Sampler::stop));
-        stall_ns += map
-            .maintenance_stats()
-            .map_or(0, |m| m.stall_ns)
-            .saturating_sub(stall_before);
-        Samples::extend(&mut gets, &c.gets);
-        Samples::extend(&mut writes, &c.writes);
-        Samples::extend(&mut ranges, &s.scans);
-        client_ops += c.run.measured;
-        client_ns += c.run.measured_ns;
-        audit(
-            &sh,
-            AUDIT_SCANS_PER_SETUP,
-            &mut scans,
-            &mut scan_elems,
-            &mut out,
-        );
+        let seed = cfg.seed ^ (life << 32);
+        let (warm, _) = phase(&sh, deadline, seed ^ 0xA5A5, warm_up, 0, &mut out);
+        let mut op_base = warm.side.run.calls;
+        let mut flushed = true;
+        for round in 0..ROUNDS_PER_LIFE {
+            let stall_before = map.maintenance_stats().map_or(0, |m| m.stall_ns);
+            let sampler = cfg.trace.then(|| Sampler::start(None));
+            let (c, s) = phase(
+                &sh,
+                deadline,
+                seed ^ (round << 16),
+                quotas,
+                op_base,
+                &mut out,
+            );
+            sampled.extend(sampler.map(Sampler::stop));
+            stall_ns += map
+                .maintenance_stats()
+                .map_or(0, |m| m.stall_ns)
+                .saturating_sub(stall_before);
+            op_base += c.side.run.calls;
+            m.gets.extend(&c.gets);
+            m.writes.extend(&c.writes);
+            m.ranges.extend(&s.scans);
+            m.client_ops += c.side.run.measured;
+            m.client_ns += c.side.run.measured_ns;
+            flushed = audit(
+                &sh,
+                AUDIT_SCANS_PER_ROUND,
+                &mut m.scans,
+                &mut m.scan_elems,
+                &mut out,
+            );
+            if !flushed {
+                break;
+            }
+        }
         drop(sh);
-        teardowns.push(teardown(map, SPEC, &mut out));
-    }
-    // Bare setups (load, settle, drop) steady setup_s and teardown_s, which
-    // a sub-second load and a drop of milliseconds alone leave at the mercy
-    // of host noise.
-    for _ in 0..BARE_SETUPS {
-        let Some((map, settled)) = build(&corpus, &mut out) else {
+        teardowns.extend(teardown_flushed(map, flushed, SPEC, &mut out));
+        if !out.run_failures.is_empty() {
+            // A stuck flush keeps loading the machine, and a wrong final
+            // state already decides the run.
             break;
-        };
-        setups.push(settled);
-        teardowns.push(teardown(map, SPEC, &mut out));
+        }
     }
 
     out.e2e(
         "point_mops",
-        client_ops as f64 / client_ns.max(1) as f64 * 1e3,
+        m.client_ops as f64 / m.client_ns.max(1) as f64 * 1e3,
         "Mop/s",
-        Some(client_ops as usize),
+        Some(m.client_ops as usize),
     );
-    out.timing("get", "p99", 0.99, &mut gets, "us", 1e3);
-    out.timing("write", "p99", 0.99, &mut writes, "us", 1e3);
-    out.timing("range", "p99", 0.99, &mut ranges, "us", 1e3);
+    out.timing("get", "p99", 0.99, &mut m.gets, "us", 1e3);
+    out.timing("write", "p99", 0.99, &mut m.writes, "us", 1e3);
+    out.timing("range", "p99", 0.99, &mut m.ranges, "us", 1e3);
     out.e2e(
         "scan_meps",
-        scan_elems as f64 / scans.total_ns().max(1) as f64 * 1e3,
+        m.scan_elems as f64 / m.scans.total_ns().max(1) as f64 * 1e3,
         "Melem/s",
-        Some(scans.len()),
+        Some(m.scans.len()),
     );
-    out.timing("scan", "p90", 0.9, &mut scans, "ms", 1e6);
+    out.timing("scan", "p90", 0.9, &mut m.scans, "ms", 1e6);
     let setup_s = setup_seconds(&setups, &mut out);
     out.e2e("setup_s", setup_s, "s", Some(setups.len()));
     out.e2e("rss_bytes_per_key", rss_per_key, "B/key", None);
-    out.e2e("teardown_s", mean(&teardowns), "s", Some(teardowns.len()));
+    out.e2e(
+        "teardown_s",
+        teardown_seconds(&teardowns),
+        "s",
+        Some(teardowns.len()),
+    );
 
     if cfg.trace {
         values.insert("bytes.maintenance_stall_ms", stall_ns as f64 / 1e6);
