@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hand-rolled SIMD kernels in `pma_common::simd`:
 //! vectorised rank (`count_le`) against its scalar fallback and plain binary
-//! search across run lengths, plus the fence-routing and run-copy kernels.
+//! search across run lengths, plus the fence-routing and run-copy kernels
+//! and the byte-key fence directory (`ByteFences::route`) on URL fences.
 //!
 //! The interesting contrast is runs of [`pma_common::simd::SMALL_RUN`]
 //! elements and above — the hybrid kernel narrows longer runs with a scalar
@@ -8,11 +9,12 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pma_common::simd::{self, Variant};
+use pma_common::simd::{self, ByteFences, Variant};
+use pma_workloads::UrlCorpus;
 
 /// Short measurement windows keep the full suite runnable in CI; raise them
 /// for publication-quality numbers.
@@ -157,5 +159,56 @@ fn bench_append_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_count_le, bench_route, bench_append_run);
+/// `ByteFences::route` over the chunk directory of one shard of the URL
+/// benchmark: 2M `UrlCorpus` keys cut into four equal shards, and the first
+/// shard's keys cut into chunks of 128 — ~3,900 fences, all starting with
+/// `https://`, so every fence has the same 8-byte head. Each iteration
+/// routes 256 keys of that shard; the throughput column is routes/s.
+fn bench_byte_fence_route(c: &mut Criterion) {
+    const KEYS: usize = 2_000_000;
+    const SHARDS: usize = 4;
+    const PER_CHUNK: usize = 128;
+    let corpus = UrlCorpus::new(1).sorted_corpus(KEYS);
+    let shard = &corpus[..KEYS / SHARDS];
+    let mut fences: Vec<&[u8]> = vec![b""];
+    fences.extend(
+        shard
+            .iter()
+            .step_by(PER_CHUNK)
+            .skip(1)
+            .map(|(key, _)| key.as_slice()),
+    );
+    let dir = ByteFences::from_keys(&fences);
+    let mut rng = SmallRng::seed_from_u64(0xB17E);
+    let probes: Vec<&[u8]> = (0..256)
+        .map(|_| shard[rng.gen_range(0..shard.len())].0.as_slice())
+        .collect();
+
+    let mut group = c.benchmark_group("byte_fence_route");
+    group.sample_size(200);
+    group.throughput(Throughput::Elements(probes.len() as u64));
+    tune(&mut group);
+    group.bench_with_input(
+        BenchmarkId::new("url_shard_x256", dir.len()),
+        &probes,
+        |b, probes| {
+            b.iter(|| {
+                let mut acc = 0usize;
+                for &p in probes.iter() {
+                    acc += dir.route(p);
+                }
+                acc
+            })
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_count_le,
+    bench_route,
+    bench_append_run,
+    bench_byte_fence_route
+);
 criterion_main!(benches);

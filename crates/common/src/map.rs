@@ -169,8 +169,9 @@ pub struct MaintenanceStats {
     pub pinned_generations: u64,
     /// How many write generations the oldest live snapshot lags behind the
     /// current write generation (0 with no live snapshot). A gauge; `merge`
-    /// sums it across inner instances, so composite backends report the
-    /// aggregate staleness debt their snapshots are holding.
+    /// takes the maximum across inner instances, so composite backends
+    /// report their worst lag (inner generations are independent clocks, so
+    /// a sum would mean nothing).
     pub snapshot_lag: u64,
     /// Chase rounds run by incremental structural changes (the sharded
     /// engine's delta-log splits): each round replays the ops that landed
@@ -181,13 +182,15 @@ pub struct MaintenanceStats {
     /// was over capacity (backpressure on the chase protocol).
     pub delta_backpressure_waits: u64,
     /// How many epochs the oldest still-active reader lags behind the
-    /// current reclamation epoch (0 when quiesced). A gauge; `merge` sums it
-    /// across inner instances, like [`MaintenanceStats::snapshot_lag`].
+    /// current reclamation epoch (0 when quiesced). A gauge; `merge` takes
+    /// the maximum across inner instances, like
+    /// [`MaintenanceStats::snapshot_lag`].
     pub epoch_lag: u64,
 }
 
 impl MaintenanceStats {
-    /// Element-wise accumulation (for composite backends).
+    /// Element-wise accumulation (for composite backends): counters and
+    /// `pinned_generations` add up, the lag gauges keep the worst value.
     pub fn merge(&mut self, other: &MaintenanceStats) {
         self.splits += other.splits;
         self.merges += other.merges;
@@ -195,10 +198,10 @@ impl MaintenanceStats {
         self.thrash_averted += other.thrash_averted;
         self.cow_copies += other.cow_copies;
         self.pinned_generations += other.pinned_generations;
-        self.snapshot_lag += other.snapshot_lag;
+        self.snapshot_lag = self.snapshot_lag.max(other.snapshot_lag);
         self.chase_rounds += other.chase_rounds;
         self.delta_backpressure_waits += other.delta_backpressure_waits;
-        self.epoch_lag += other.epoch_lag;
+        self.epoch_lag = self.epoch_lag.max(other.epoch_lag);
     }
 }
 
@@ -646,10 +649,10 @@ mod tests {
                 thrash_averted: 44,
                 cow_copies: 55,
                 pinned_generations: 66,
-                snapshot_lag: 77,
+                snapshot_lag: 70,
                 chase_rounds: 88,
                 delta_backpressure_waits: 99,
-                epoch_lag: 11,
+                epoch_lag: 10,
             }
         );
     }

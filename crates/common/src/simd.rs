@@ -532,11 +532,15 @@ impl RunSearch for i64 {
 /// The trick is that lexicographic byte order can be *approximated* by a
 /// fixed-stride integer comparison: each fence's first eight bytes
 /// (zero-padded, big-endian — [`crate::types::key_head`]) are packed into the
-/// signed separator domain and probed with the existing SIMD [`route`]
-/// kernel. Because the head is a monotone weakening of byte order, the
-/// vector probe lands either on the right fence or inside the run of fences
-/// sharing the probe key's head; a short scalar walk comparing full byte
-/// slices breaks those ties. The fast path therefore inherits the dispatch
+/// signed separator domain and probed with the SIMD [`count_le`] and
+/// [`count_lt`] kernels. Because the head is a monotone weakening of byte
+/// order, the two probes bound the run of fences sharing the probe key's
+/// head: every fence before the run is smaller than the key, every fence
+/// after it greater. A binary search over full byte slices inside the run
+/// finds the last fence `<= key`, so a route costs `O(log n)` whatever the
+/// run's length. That matters: every `https://` URL has the same 8-byte
+/// head, so on a URL directory the run is the *whole* directory and the
+/// head probe alone decides nothing. The probes inherit the dispatch
 /// machinery unchanged — including the `PMA_FORCE_SCALAR` escape hatch.
 ///
 /// ```
@@ -553,7 +557,7 @@ pub struct ByteFences {
     /// First-8-byte heads mapped into the signed separator domain, one per
     /// fence, in fence order (ties between fences share a head).
     heads: Vec<Key>,
-    /// The full fence keys, for tie-breaking and introspection.
+    /// The full fence keys, searched inside an equal-head run.
     fences: Vec<Box<[u8]>>,
 }
 
@@ -599,19 +603,14 @@ impl ByteFences {
     pub fn route(&self, key: &[u8]) -> usize {
         assert!(!self.fences.is_empty(), "routing over an empty directory");
         let head = crate::types::head_separator(crate::types::key_head(key));
-        // Fences past this point have a strictly greater head, hence are
-        // strictly greater byte strings — never candidates.
-        let mut candidates = count_le(&self.heads, head);
-        // Inside the equal-head run the integer probe is blind; compare the
-        // full byte slices. The walk is bounded by the number of fences
-        // sharing the key's first eight bytes.
-        while candidates > 0
-            && self.heads[candidates - 1] == head
-            && *self.fences[candidates - 1] > *key
-        {
-            candidates -= 1;
-        }
-        candidates.saturating_sub(1)
+        // Fences past `end` have a strictly greater head, hence are strictly
+        // greater byte strings; fences before `start` have a strictly
+        // smaller head, hence are strictly smaller. Only the equal-head run
+        // between them needs full byte comparisons.
+        let end = count_le(&self.heads, head);
+        let start = count_lt(&self.heads[..end], head);
+        let within = self.fences[start..end].partition_point(|f| **f <= *key);
+        (start + within).saturating_sub(1)
     }
 
     /// Bytes of heap owned by the directory (for memory accounting).
@@ -766,7 +765,7 @@ mod tests {
     #[test]
     fn byte_route_matches_reference_on_shared_head_fences() {
         // Fences deliberately heavy on shared 8-byte heads so the vector
-        // probe must fall back to the scalar tie-break.
+        // probes leave the decision to the search inside the run.
         let fences: Vec<&[u8]> = vec![
             b"",
             b"aaaaaaaa",

@@ -22,9 +22,17 @@
 //! whose key falls outside the current prefix — mirroring how the u64 engine
 //! already reconstructs chunks at redistribute/resize.
 //!
-//! Routing uses [`ByteFences`]: fences' first eight bytes ride the existing
-//! SIMD `route` kernel (scalar tie-break on equal heads), so byte routing
-//! obeys `PMA_FORCE_SCALAR` like every other kernel.
+//! Routing uses [`ByteFences`]: two SIMD probes over the fences' packed
+//! first eight bytes bound the run of fences sharing the key's head, and a
+//! binary search over full fence bytes inside that run picks the chunk, so
+//! a route is `O(log chunks)` and obeys `PMA_FORCE_SCALAR` like every other
+//! kernel. The run is not a corner case: every `https://` URL has the same
+//! 8-byte head, so on a URL corpus all fences share one head and the binary
+//! search does all the work.
+//!
+//! Range scans cut each visited chunk once: two `ByteChunk::search` calls
+//! find the chunk's slice of `[lo, hi)`, the chunk prefix is written into
+//! the key buffer once, and each entry only appends its suffix.
 //!
 //! Concurrency follows the chunk-level copy-on-write design of the u64
 //! engine: point ops take the directory read lock plus one chunk lock;
@@ -200,13 +208,6 @@ impl ByteChunk {
         self.values.remove(idx)
     }
 
-    /// Materialises key `i` into `buf` (cleared first).
-    fn write_key(&self, i: usize, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.extend_from_slice(&self.prefix);
-        buf.extend_from_slice(self.suffix(i));
-    }
-
     /// Materialises every entry as owned pairs (split/debug path).
     fn to_pairs(&self) -> Vec<(Vec<u8>, Value)> {
         (0..self.len())
@@ -237,6 +238,41 @@ impl ByteChunk {
 struct Directory {
     fences: Arc<ByteFences>,
     chunks: Vec<RwLock<Arc<ByteChunk>>>,
+}
+
+/// Chunk slots that can hold keys in `[lo, hi)`: from the slot `lo` routes
+/// to through the slot `hi` routes to (empty when `hi` routes below `lo`).
+fn covering(fences: &ByteFences, lo: &[u8], hi: Option<&[u8]>) -> std::ops::Range<usize> {
+    let start = fences.route(lo);
+    let end = hi.map_or(fences.len(), |hi| fences.route(hi) + 1);
+    start..end.max(start)
+}
+
+/// Visits the entries in `[lo, hi)` of consecutive, key-ordered chunks.
+/// Each chunk is cut once: two searches find its `[first, end)` slice, its
+/// prefix is written into the key buffer once, and each entry appends only
+/// its suffix. A chunk cut short by `hi` ends the scan.
+fn visit_chunks(
+    chunks: &[Arc<ByteChunk>],
+    lo: &[u8],
+    hi: Option<&[u8]>,
+    visitor: &mut dyn FnMut(&[u8], Value),
+) {
+    let mut key = Vec::new();
+    for chunk in chunks {
+        let first = chunk.search(lo).unwrap_or_else(|pos| pos);
+        let end = hi.map_or(chunk.len(), |hi| chunk.search(hi).unwrap_or_else(|pos| pos));
+        key.clear();
+        key.extend_from_slice(&chunk.prefix);
+        for i in first..end {
+            key.truncate(chunk.prefix.len());
+            key.extend_from_slice(chunk.suffix(i));
+            visitor(&key, chunk.values[i]);
+        }
+        if end < chunk.len() {
+            return;
+        }
+    }
 }
 
 impl Directory {
@@ -366,16 +402,19 @@ impl BytePma {
         self.splits.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
-    /// Drops one empty chunk (folding its key range into the left
-    /// neighbour), keeping the directory dense after heavy removals.
-    fn merge_empty_chunk(&self) {
+    /// Drops the chunk `key` was just removed from if it is still empty
+    /// (re-checked under the directory write lock: a concurrent insert may
+    /// have refilled it), folding its key range into the left neighbour and
+    /// keeping the directory dense after heavy removals.
+    fn merge_empty_chunk(&self, key: &[u8]) {
         let mut dir = self.dir.write();
         if dir.chunks.len() <= 1 {
             return;
         }
-        let Some(idx) = dir.chunks.iter().position(|c| c.read().len() == 0) else {
+        let idx = dir.fences.route(key);
+        if dir.chunks[idx].read().len() != 0 {
             return;
-        };
+        }
         let mut fences = dir.fence_keys();
         fences.remove(idx);
         dir.chunks.remove(idx);
@@ -426,7 +465,7 @@ impl ConcurrentByteMap for BytePma {
             }
         };
         if emptied {
-            self.merge_empty_chunk();
+            self.merge_empty_chunk(key);
         }
         removed
     }
@@ -451,25 +490,11 @@ impl ConcurrentByteMap for BytePma {
         // consistent snapshot, writers are never blocked by the visitor.
         let pinned: Vec<Arc<ByteChunk>> = {
             let dir = self.dir.read();
-            let start = dir.fences.route(lo);
-            (start..dir.chunks.len())
-                .take_while(|&idx| idx == start || hi.is_none_or(|hi| dir.fences.fence(idx) < hi))
+            covering(&dir.fences, lo, hi)
                 .map(|idx| Arc::clone(&dir.chunks[idx].read()))
                 .collect()
         };
-        let mut key = Vec::new();
-        for chunk in pinned {
-            let first = chunk.search(lo).unwrap_or_else(|pos| pos);
-            for i in first..chunk.len() {
-                chunk.write_key(i, &mut key);
-                if let Some(hi) = hi {
-                    if key.as_slice() >= hi {
-                        return;
-                    }
-                }
-                visitor(&key, chunk.values[i]);
-            }
-        }
+        visit_chunks(&pinned, lo, hi, visitor);
     }
 
     fn flush(&self) {}
@@ -550,24 +575,12 @@ impl FrozenByteView for FrozenBytePma {
     }
 
     fn range(&self, lo: &[u8], hi: Option<&[u8]>, visitor: &mut dyn FnMut(&[u8], Value)) {
-        let start = self.fences.route(lo);
-        let mut key = Vec::new();
-        for idx in start..self.chunks.len() {
-            if idx > start && hi.is_some_and(|hi| self.fences.fence(idx) >= hi) {
-                return;
-            }
-            let chunk = &self.chunks[idx];
-            let first = chunk.search(lo).unwrap_or_else(|pos| pos);
-            for i in first..chunk.len() {
-                chunk.write_key(i, &mut key);
-                if let Some(hi) = hi {
-                    if key.as_slice() >= hi {
-                        return;
-                    }
-                }
-                visitor(&key, chunk.values[i]);
-            }
-        }
+        visit_chunks(
+            &self.chunks[covering(&self.fences, lo, hi)],
+            lo,
+            hi,
+            visitor,
+        );
     }
 }
 
@@ -659,6 +672,59 @@ mod tests {
         let stats = map.scan_range(&url(10), Some(&url(20)));
         assert_eq!(stats.count, 10);
         assert_eq!(map.scan_all().count, 102);
+    }
+
+    /// Pins the half-open `[lo, hi)` cut of the live and frozen range
+    /// scans at every kind of `hi`: a stored key, a chunk's first key, a key
+    /// between two chunks, and `None`.
+    #[test]
+    fn range_cuts_match_btreemap_at_chunk_edges() {
+        // Even URLs only, so odd URLs fall between stored keys; two outliers
+        // give the end chunks prefixes unlike their neighbours'.
+        let mut items: Vec<(Vec<u8>, Value)> = (0..60).map(|i| (url(2 * i), i as Value)).collect();
+        items.push((b"aaa".to_vec(), -1));
+        items.push((b"zzz".to_vec(), -2));
+        items.sort();
+        let map = BytePma::from_sorted_bytes(BytePmaConfig { chunk_target: 4 }, &items).unwrap();
+        // Point inserts after the bulk load, into the chunk holding the
+        // last URL and "zzz".
+        map.insert(&url(201), 201);
+        map.insert(&url(203), 203);
+        let model: BTreeMap<Vec<u8>, Value> = items
+            .into_iter()
+            .chain([(url(201), 201), (url(203), 203)])
+            .collect();
+        let frozen = map.frozen().unwrap();
+
+        let chunk_firsts: Vec<Vec<u8>> = map.dir.read().fence_keys()[1..].to_vec();
+        assert!(chunk_firsts.len() > 10, "the map must span many chunks");
+        let between: Vec<Vec<u8>> = (0..62).map(|i| url(2 * i + 1)).collect();
+        let mut his: Vec<Option<Vec<u8>>> = vec![None];
+        his.extend(model.keys().cloned().map(Some));
+        his.extend(chunk_firsts.iter().cloned().map(Some));
+        his.extend(between.iter().cloned().map(Some));
+        let mut los: Vec<Vec<u8>> = vec![Vec::new(), url(0), url(2), url(3), b"zzz".to_vec()];
+        los.extend(chunk_firsts.iter().step_by(3).cloned());
+        los.extend(between.iter().step_by(7).cloned());
+
+        for lo in &los {
+            for hi in &his {
+                let hi = hi.as_deref();
+                let expected: Vec<(Vec<u8>, Value)> = model
+                    .iter()
+                    .filter(|(k, _)| {
+                        k.as_slice() >= lo.as_slice() && hi.is_none_or(|hi| k.as_slice() < hi)
+                    })
+                    .map(|(k, v)| (k.clone(), *v))
+                    .collect();
+                let mut live = Vec::new();
+                map.range(lo, hi, &mut |k, v| live.push((k.to_vec(), v)));
+                assert_eq!(live, expected, "live lo {lo:?} hi {hi:?}");
+                let mut snap = Vec::new();
+                frozen.range(lo, hi, &mut |k, v| snap.push((k.to_vec(), v)));
+                assert_eq!(snap, expected, "frozen lo {lo:?} hi {hi:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! [`ShardedByteMap`]: range-sharding for byte-keyed backends.
 //!
 //! N inner [`ConcurrentByteMap`] instances behind a [`ByteFences`] directory
-//! (registry spec `bsharded:<n>[:<inner-byte-spec>]`). Routing uses the
-//! fences' first-8-byte heads on the SIMD `route` kernel with a scalar
-//! tie-break — the same byte-routing path the `BytePma` chunk directory
-//! uses, one level up.
+//! (registry spec `bsharded:<n>[:<inner-byte-spec>]`). Routing probes the
+//! fences' first-8-byte heads with the SIMD kernels and binary-searches the
+//! run of fences sharing the key's head — the same byte-routing path the
+//! `BytePma` chunk directory uses, one level up.
 //!
 //! The shard layout is **static**: fresh maps cut the byte space uniformly
 //! by first byte, and bulk loads cut at data percentiles with the same

@@ -1895,21 +1895,15 @@ impl ConcurrentMap for ShardedMap {
             delta_backpressure_waits: stats.delta_backpressure_waits,
             epoch_lag: 0,
         };
-        // The copy-on-write counters live in the inner instances: sum the
-        // copies and live pins across shards, and report the worst per-shard
-        // generation and epoch lag (shard generations and epoch registries
-        // are independent clocks, so summing lags would be meaningless).
+        // The copy-on-write counters and lag gauges live in the inner
+        // instances: `merge` sums the copies and live pins across shards and
+        // keeps the worst per-shard generation and epoch lag.
         let _pin = self.engine.epoch.pin();
         // SAFETY: pinned above.
         let dir = unsafe { self.engine.dir_ref() };
         for shard in &dir.shards {
             if let Some(inner) = shard.map.maintenance_stats() {
-                total.cow_copies += inner.cow_copies;
-                total.pinned_generations += inner.pinned_generations;
-                total.snapshot_lag = total.snapshot_lag.max(inner.snapshot_lag);
-                total.chase_rounds += inner.chase_rounds;
-                total.delta_backpressure_waits += inner.delta_backpressure_waits;
-                total.epoch_lag = total.epoch_lag.max(inner.epoch_lag);
+                total.merge(&inner);
             }
         }
         Some(total)

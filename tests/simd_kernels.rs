@@ -177,7 +177,8 @@ fn boundary_spot_checks() {
 }
 
 /// Strictly-ascending byte fence sets from a tiny alphabet, so many fences
-/// share their 8-byte head and the scalar tie-break actually runs.
+/// share their 8-byte head and the route rests on the search inside an
+/// equal-head run.
 fn byte_fence_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
     let key = proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(0xFFu8)], 0..12);
     proptest::collection::vec(key, 1..24).prop_map(|mut v| {
@@ -190,8 +191,8 @@ fn byte_fence_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `ByteFences::route` — the head-packed SIMD probe plus the scalar
-    /// tie-break over equal-head runs — matches the full-key reference
+    /// `ByteFences::route` — the head-packed SIMD probes plus the binary
+    /// search over the equal-head run — matches the full-key reference
     /// `partition_point(fence <= key) - 1` for every probe, including keys
     /// longer than 8 bytes where the head alone cannot decide.
     #[test]
@@ -208,5 +209,57 @@ proptest! {
         for (slot, fence) in fences.iter().enumerate() {
             prop_assert_eq!(packed.route(fence), slot, "self-probe {:?}", fence);
         }
+    }
+}
+
+/// `ByteFences::route` over 4,096 URL fences cut from a `UrlCorpus`: every
+/// fence starts with `https://`, so all heads are equal and the route rests
+/// on the binary search inside the equal-head run. Checked against the
+/// `partition_point` reference on the fences, the corpus keys, keys just
+/// below and above each fence, keys below and above every fence, and keys
+/// longer than every fence.
+#[test]
+fn byte_route_on_url_fences_matches_reference() {
+    use rma_concurrent::workloads::UrlCorpus;
+
+    const PER_CHUNK: usize = 8;
+    let corpus: Vec<Vec<u8>> = UrlCorpus::new(13)
+        .sorted_corpus(4_096 * PER_CHUNK)
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    let fences: Vec<&[u8]> = corpus
+        .iter()
+        .step_by(PER_CHUNK)
+        .map(Vec::as_slice)
+        .collect();
+    assert!(fences.len() >= 4_096);
+    assert!(fences.iter().all(|f| f.starts_with(b"https://")));
+    let dir = simd::ByteFences::from_keys(&fences);
+    let reference = |key: &[u8]| fences.partition_point(|f| *f <= key).saturating_sub(1);
+
+    let longest = fences.iter().map(|f| f.len()).max().unwrap();
+    let mut probes: Vec<Vec<u8>> = vec![
+        b"".to_vec(),
+        b"https:/".to_vec(),
+        b"https://".to_vec(),
+        vec![0xFF; longest + 1],
+    ];
+    for fence in &fences {
+        probes.push(fence.to_vec());
+        probes.push(fence[..fence.len() - 1].to_vec());
+        let mut above = fence.to_vec();
+        above.push(0);
+        probes.push(above);
+        let mut longer = fence.to_vec();
+        longer.resize(longest + 16, b'~');
+        probes.push(longer);
+    }
+    probes.extend(corpus.iter().cloned());
+    for probe in &probes {
+        assert_eq!(dir.route(probe), reference(probe), "probe {probe:?}");
+    }
+    for (slot, fence) in fences.iter().enumerate() {
+        assert_eq!(dir.route(fence), slot, "self-probe {fence:?}");
     }
 }
